@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Repository CI gate: formatting, lints, build, the full test suite, and a
-# bench smoke run that checks the --json reports parse.
+# Repository CI gate: formatting, lints, build, the full test suite, the
+# benchmark package's build and tests, and a bench smoke run that checks the
+# --json reports parse.
 #
 # Usage:
-#   ./ci.sh           full gate (fmt, clippy, release build+tests, bench smoke)
+#   ./ci.sh           full gate (fmt, clippy, release build+tests, ohabench,
+#                     bench smoke)
 #   ./ci.sh --quick   pre-push loop: fmt, clippy, debug tests only
 #   ./ci.sh --chaos   fault-injection gate only (release build + chaos smoke)
 #   ./ci.sh --cluster cluster gate only (release build + cluster smoke)
@@ -663,6 +665,11 @@ fi
 
 stage "cargo build --release (workspace)" cargo build --locked --release --workspace
 stage "cargo test (release)" cargo test --locked --release --workspace -q
+# The benchmark package is a Cargo workspace of its own, so the line above
+# never compiles it: build and test it here, so a public-API change in
+# crates/* that breaks it fails CI rather than the next benchmark run.
+stage "ohabench (build + test the benchmark package)" \
+    cargo test --locked --release -q --manifest-path ohabench/Cargo.toml
 stage "bench-smoke (fig5 + table1, --json)" bench_smoke
 stage "static-parallel (thread-sweep byte-equality gate)" static_parallel_smoke
 stage "bench-static (probe_solver vs reference, BENCH_static.json)" bench_static

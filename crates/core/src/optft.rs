@@ -49,9 +49,10 @@ pub struct OptFtRun {
 pub struct OptFtOutcome {
     /// Merged likely invariants (with the elidable-lock set filled in).
     pub invariants: InvariantSet,
-    /// Time to run the profiling corpus (including the lock-elision
-    /// validation loop).
+    /// Time to run the profiling corpus until the invariants stabilized.
     pub profile_time: Duration,
+    /// Lock-elision validation time (zero when served from the store).
+    pub elide_time: Duration,
     /// Sound static analysis (points-to + race detection) time.
     pub sound_static_time: Duration,
     /// Predicated static analysis time.
@@ -179,6 +180,7 @@ impl OptFtPlans {
 struct FtStatics {
     invariants: InvariantSet,
     profile_time: Duration,
+    elide_time: Duration,
     profiling_used: usize,
     sound_static_time: Duration,
     pred_static_time: Duration,
@@ -203,8 +205,8 @@ impl<'a> OptFt<'a> {
     /// lock-elision validation), served from the artifact store when warm.
     ///
     /// The cache key's predicate side folds together the invariant-set
-    /// fingerprint, the profiling-corpus fingerprint (the elision
-    /// validation loop re-executes the corpus) and the static budgets, so
+    /// fingerprint, the profiling-corpus fingerprint (lock-elision
+    /// validation may re-execute the corpus) and the static budgets, so
     /// a hit guarantees the cached races and elidable-lock set are what
     /// this exact cold run would recompute.
     fn static_phase(
@@ -217,7 +219,7 @@ impl<'a> OptFt<'a> {
 
         // Phase 1: profile until the invariant set stabilizes (§6.1),
         // store-accelerated when a profile artifact is warm.
-        let (mut invariants, mut profile_time, profiling_used) =
+        let (mut invariants, profile_time, profiling_used) =
             self.pipeline.profile_phase(profiling, 6);
 
         let key = self.pipeline.store().map(|_| {
@@ -257,6 +259,7 @@ impl<'a> OptFt<'a> {
                 return FtStatics {
                     invariants: a.invariants,
                     profile_time,
+                    elide_time: Duration::ZERO,
                     profiling_used,
                     sound_static_time: elapsed,
                     pred_static_time: Duration::ZERO,
@@ -314,11 +317,12 @@ impl<'a> OptFt<'a> {
         // validate them on the profiling corpus (§4.2.4): any race the
         // elided detector reports that the sound detector does not is a
         // false race caused by a custom synchronization through an elided
-        // lock — put that lock's instrumentation back and retry.
+        // lock, and puts all lock instrumentation back.
         let span = registry.span("elide");
         let elidable = validate_elidable_locks(
             program,
             machine,
+            registry,
             &pt_pred,
             &races_pred,
             races_sound.racy_sites(),
@@ -326,7 +330,6 @@ impl<'a> OptFt<'a> {
         );
         invariants.elidable_locks = elidable;
         let elide_time = span.finish();
-        profile_time += elide_time;
 
         let pending = key.as_ref().map(|_| OptFtArtifact {
             invariants: invariants.clone(),
@@ -344,6 +347,7 @@ impl<'a> OptFt<'a> {
         FtStatics {
             invariants,
             profile_time,
+            elide_time,
             profiling_used,
             sound_static_time,
             pred_static_time,
@@ -372,6 +376,7 @@ impl<'a> OptFt<'a> {
         let FtStatics {
             invariants,
             profile_time,
+            elide_time,
             profiling_used,
             sound_static_time,
             pred_static_time,
@@ -383,6 +388,7 @@ impl<'a> OptFt<'a> {
         } = statics;
 
         registry.observe_duration("optft.phase.profile_ns", profile_time);
+        registry.observe_duration("optft.phase.elide_ns", elide_time);
         registry.observe_duration(
             "optft.phase.static_ns",
             sound_static_time + pred_static_time,
@@ -439,6 +445,7 @@ impl<'a> OptFt<'a> {
         let mut outcome = OptFtOutcome {
             profiling_runs_used: profiling_used,
             profile_time,
+            elide_time,
             sound_static_time,
             pred_static_time,
             racy_sites_sound: races_sound.stats().racy_accesses,
@@ -608,16 +615,17 @@ impl<'a> OptFt<'a> {
 }
 
 /// Proposes and validates lock/unlock sites whose instrumentation can be
-/// elided (no-custom-synchronization, §4.2.4).
+/// elided (no-custom-synchronization, §4.2.4), counting interpreter runs
+/// under `optft.elide.runs` and naming the outcome in a trace instant.
 fn validate_elidable_locks(
     program: &Program,
     machine: &Machine<'_>,
+    registry: &MetricsRegistry,
     pt_pred: &PointsTo,
     races_pred: &StaticRaces,
     sound_racy: &BitSet,
     profiling: &[Vec<i64>],
 ) -> BTreeSet<InstId> {
-    // Group lock/unlock sites into alias classes (shared lock cells).
     let sites: Vec<InstId> = program
         .insts()
         .filter(|i| matches!(i.kind, InstKind::Lock { .. } | InstKind::Unlock { .. }))
@@ -626,13 +634,22 @@ fn validate_elidable_locks(
     if sites.is_empty() {
         return BTreeSet::new();
     }
+    // FastTrack reports races only at instrumented loads/stores, and the
+    // optimistic detector instruments only predicated-racy ones. With none
+    // it cannot report a race, so no class is disqualified: elide them all.
+    if races_pred.racy_sites().is_empty() {
+        registry.add("optft.elide.runs", 0);
+        registry.trace_instant("optft.elide.no_racy_access");
+        return sites.into_iter().collect();
+    }
+
+    // Group lock/unlock sites into alias classes (shared lock cells).
     let mut class_of: HashMap<InstId, usize> = HashMap::new();
     let mut classes: Vec<Vec<InstId>> = Vec::new();
     let mut class_cells: Vec<BitSet> = Vec::new();
     for &s in &sites {
         let cells = pt_pred.lock_cells(s);
-        let found = class_cells.iter().position(|c| c.intersects(cells));
-        match found {
+        match class_cells.iter().position(|c| c.intersects(cells)) {
             Some(k) => {
                 classes[k].push(s);
                 class_cells[k].union_with(cells);
@@ -649,87 +666,90 @@ fn validate_elidable_locks(
     // A class is a candidate when no access it guards needs instrumentation.
     let locksets = MustLocksets::new(program, pt_pred);
     let mut candidate = vec![true; classes.len()];
-    for inst in program.insts() {
-        if !inst.kind.is_memory_access() {
-            continue;
-        }
-        if races_pred.is_racy(inst.id) {
-            for &l in locksets.held_at(inst.id) {
-                if let Some(&k) = class_of.get(&l) {
-                    candidate[k] = false;
-                }
+    for inst in program
+        .insts()
+        .filter(|i| i.kind.is_memory_access() && races_pred.is_racy(i.id))
+    {
+        for &l in locksets.held_at(inst.id) {
+            if let Some(&k) = class_of.get(&l) {
+                candidate[k] = false;
             }
         }
     }
+    let elided: BTreeSet<InstId> = classes
+        .iter()
+        .enumerate()
+        .filter(|&(k, _)| candidate[k])
+        .flat_map(|(_, c)| c.iter().copied())
+        .collect();
 
-    // Validation loop: run the elided detector on the profiling corpus and
-    // compare against the sound hybrid detector; a false race de-elides the
-    // involved lock classes.
+    // Validate on the profiling corpus. A race the elided detector reports
+    // but the sound hybrid detector does not is a false race through a
+    // custom synchronization, and gives up all elision (simple and sound).
+    // ∅ ⊆ anything, so the sound run follows only an optimistic report; the
+    // seeded schedule ignores the tracer, so both runs see one execution.
     let fast = fastpath::enabled();
+    let opt_plan = fast
+        .then(|| FastTrackTool::plan_for(program, Some(races_pred.racy_sites()), Some(&elided)));
     let hybrid_plan = fast.then(|| FastTrackTool::plan_for(program, Some(sound_racy), None));
-    loop {
-        let elided: BTreeSet<InstId> = classes
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| candidate[k])
-            .flat_map(|(_, c)| c.iter().copied())
-            .collect();
-        if elided.is_empty() {
-            return elided;
-        }
-        // The optimistic plan changes with the candidate elision set, so
-        // it is (re)compiled per round, amortized over the corpus.
-        let opt_plan = fast.then(|| {
-            FastTrackTool::plan_for(program, Some(races_pred.racy_sites()), Some(&elided))
-        });
-        let mut false_race = false;
-        for input in profiling {
-            let mut sound = FastTrackTool::hybrid(sound_racy);
-            machine.run_with_plan(input, &mut sound, hybrid_plan.as_ref());
+    let mut runs = 0;
+    let false_race = !elided.is_empty()
+        && profiling.iter().any(|input| {
+            // Drain the reused plans' tallies so the machine's end-of-run
+            // counter flush stays per-run exact.
+            for p in opt_plan.iter().chain(&hybrid_plan) {
+                p.take_elisions();
+            }
             let mut opt = FastTrackTool::optimistic(races_pred.racy_sites(), &elided);
             machine.run_with_plan(input, &mut opt, opt_plan.as_ref());
-            // These tools' counters are never published, but the reused
-            // plans' tallies must still be drained between runs so the
-            // machine's end-of-run counter flush stays per-run exact.
-            if let Some(p) = &hybrid_plan {
-                p.take_elisions();
+            runs += 1;
+            let opt_races = opt.race_pairs();
+            if opt_races.is_empty() {
+                return false;
             }
-            if let Some(p) = &opt_plan {
-                p.take_elisions();
-            }
-            if !opt.race_pairs().is_subset(&sound.race_pairs()) {
-                false_race = true;
-                break;
-            }
-        }
-        if !false_race {
-            return elided;
-        }
-        // Give up elision entirely on a false race: simple and sound. A
-        // finer policy would de-elide only the offending class; the paper's
-        // "return the lock/unlock instrumentation to the offending locks"
-        // iterates similarly until the false races disappear.
-        for c in candidate.iter_mut() {
-            *c = false;
-        }
+            let mut sound = FastTrackTool::hybrid(sound_racy);
+            machine.run_with_plan(input, &mut sound, hybrid_plan.as_ref());
+            runs += 1;
+            !opt_races.is_subset(&sound.race_pairs())
+        });
+    registry.add("optft.elide.runs", runs);
+    if false_race {
+        registry.trace_instant("optft.elide.false_race");
+        return BTreeSet::new();
     }
+    registry.trace_instant("optft.elide.validated");
+    elided
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oha_ir::{Operand, ProgramBuilder};
+    use oha_obs::{TraceEventKind, TraceLog};
+    use oha_workloads::{java_suite, WorkloadParams};
     use Operand::{Const, Reg as R};
 
     /// Two workers increment a shared counter under a lock.
     fn locked_counter() -> Program {
+        counter_program(false)
+    }
+
+    /// [`locked_counter`], optionally beside a truly racy global: main
+    /// writes it while the workers run, and each worker reads it after its
+    /// loop, outside the lock.
+    fn counter_program(racy_global: bool) -> Program {
         let mut pb = ProgramBuilder::new();
         let g = pb.global("shared", 1);
+        let racy = racy_global.then(|| pb.global("racy", 1));
         let w = pb.declare("worker", 1);
         let mut m = pb.function("main", 0);
         let n1 = m.input();
         let t1 = m.spawn(w, R(n1));
         let t2 = m.spawn(w, R(n1));
+        if let Some(r) = racy {
+            let ra = m.addr_global(r);
+            m.store(R(ra), 0, R(n1));
+        }
         m.join(R(t1));
         m.join(R(t2));
         let ga = m.addr_global(g);
@@ -758,17 +778,199 @@ mod tests {
         wf.copy_to(i, R(i1));
         wf.jump(head);
         wf.select(exit);
+        if let Some(r) = racy {
+            let ra = wf.addr_global(r);
+            wf.load(R(ra), 0);
+        }
         wf.ret(None);
         pb.finish_function(wf);
         pb.finish(main).unwrap()
     }
 
+    /// Worker A writes a payload `x` outside any lock, then sets `flag`
+    /// under lock `l`; worker B polls `flag` under `l` until it is set,
+    /// then reads `x` outside `l`. `flag` is only ever accessed under `l`,
+    /// so `l` is an elision candidate, but `l` is also the only thing
+    /// ordering the `x` accesses: eliding it shows a false race on `x`.
+    fn lock_published_payload() -> Program {
+        let mut pb = ProgramBuilder::new();
+        let x = pb.global("x", 1);
+        let flag = pb.global("flag", 1);
+        let l = pb.global("l", 1);
+        let writer = pb.declare("writer", 1);
+        let reader = pb.declare("reader", 1);
+        let mut m = pb.function("main", 0);
+        let payload = m.input();
+        let ta = m.spawn(writer, R(payload));
+        let tb = m.spawn(reader, Const(0));
+        m.join(R(ta));
+        m.join(R(tb));
+        m.ret(None);
+        let main = pb.finish_function(m);
+
+        let mut a = pb.function("writer", 1);
+        let payload = a.param(0);
+        let xa = a.addr_global(x);
+        a.store(R(xa), 0, R(payload));
+        let la = a.addr_global(l);
+        a.lock(R(la));
+        let fa = a.addr_global(flag);
+        a.store(R(fa), 0, Const(1));
+        a.unlock(R(la));
+        a.ret(None);
+        pb.finish_function(a);
+
+        let mut b = pb.function("reader", 1);
+        let poll = b.block();
+        let done = b.block();
+        let la = b.addr_global(l);
+        let fa = b.addr_global(flag);
+        b.jump(poll);
+        b.select(poll);
+        b.lock(R(la));
+        let set = b.load(R(fa), 0);
+        b.unlock(R(la));
+        b.branch(R(set), done, poll);
+        b.select(done);
+        let xa = b.addr_global(x);
+        b.load(R(xa), 0);
+        b.ret(None);
+        pb.finish_function(b);
+        pb.finish(main).unwrap()
+    }
+
+    /// The validation as first written, kept as an oracle: both detectors
+    /// on every profiling input, in rounds until no false race remains;
+    /// a false race gives up all elision.
+    fn reference_validation(
+        program: &Program,
+        machine: &Machine<'_>,
+        pt_pred: &PointsTo,
+        races_pred: &StaticRaces,
+        sound_racy: &BitSet,
+        profiling: &[Vec<i64>],
+    ) -> BTreeSet<InstId> {
+        let sites: Vec<InstId> = program
+            .insts()
+            .filter(|i| matches!(i.kind, InstKind::Lock { .. } | InstKind::Unlock { .. }))
+            .map(|i| i.id)
+            .collect();
+        let mut class_of: HashMap<InstId, usize> = HashMap::new();
+        let mut classes: Vec<Vec<InstId>> = Vec::new();
+        let mut class_cells: Vec<BitSet> = Vec::new();
+        for &s in &sites {
+            let cells = pt_pred.lock_cells(s);
+            match class_cells.iter().position(|c| c.intersects(cells)) {
+                Some(k) => {
+                    classes[k].push(s);
+                    class_cells[k].union_with(cells);
+                    class_of.insert(s, k);
+                }
+                None => {
+                    class_of.insert(s, classes.len());
+                    classes.push(vec![s]);
+                    class_cells.push(cells.clone());
+                }
+            }
+        }
+        let locksets = MustLocksets::new(program, pt_pred);
+        let mut candidate = vec![true; classes.len()];
+        for inst in program.insts() {
+            if inst.kind.is_memory_access() && races_pred.is_racy(inst.id) {
+                for &l in locksets.held_at(inst.id) {
+                    if let Some(&k) = class_of.get(&l) {
+                        candidate[k] = false;
+                    }
+                }
+            }
+        }
+        loop {
+            let elided: BTreeSet<InstId> = classes
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| candidate[k])
+                .flat_map(|(_, c)| c.iter().copied())
+                .collect();
+            if elided.is_empty() {
+                return elided;
+            }
+            let false_race = profiling.iter().any(|input| {
+                let mut sound = FastTrackTool::hybrid(sound_racy);
+                machine.run(input, &mut sound);
+                let mut opt = FastTrackTool::optimistic(races_pred.racy_sites(), &elided);
+                machine.run(input, &mut opt);
+                !opt.race_pairs().is_subset(&sound.race_pairs())
+            });
+            if !false_race {
+                return elided;
+            }
+            candidate.iter_mut().for_each(|c| *c = false);
+        }
+    }
+
+    /// `validate_elidable_locks` and [`reference_validation`] on the
+    /// predicated static phase OptFT computes for `program`.
+    fn both_validations(
+        program: &Program,
+        profiling: &[Vec<i64>],
+    ) -> (BTreeSet<InstId>, BTreeSet<InstId>) {
+        let pipeline = Pipeline::new(program.clone());
+        let (invariants, _, _) = pipeline.profile_phase(profiling, 6);
+        let optft = OptFt::new(&pipeline);
+        let pt_sound = analyze(program, &optft.pt_config(None)).unwrap();
+        let races_sound = detect(program, &pt_sound, None);
+        let pt_pred = analyze(program, &optft.pt_config(Some(&invariants))).unwrap();
+        let races_pred = detect(program, &pt_pred, Some(&invariants));
+        let machine = Machine::new(program, pipeline.config().machine);
+        let sound_racy = races_sound.racy_sites();
+        (
+            validate_elidable_locks(
+                program,
+                &machine,
+                pipeline.metrics(),
+                &pt_pred,
+                &races_pred,
+                sound_racy,
+                profiling,
+            ),
+            reference_validation(
+                program,
+                &machine,
+                &pt_pred,
+                &races_pred,
+                sound_racy,
+                profiling,
+            ),
+        )
+    }
+
+    /// Runs OptFT with a trace attached. Returns the outcome, the
+    /// validation's interpreter runs, and the one trace instant naming how
+    /// the elidable-lock set was settled.
+    fn traced_optft(
+        program: Program,
+        profiling: &[Vec<i64>],
+        testing: &[Vec<i64>],
+    ) -> (OptFtOutcome, u64, String) {
+        let trace = TraceLog::enabled(1 << 16);
+        let pipeline = Pipeline::new(program).with_trace(trace.clone());
+        let outcome = pipeline.run_optft(profiling, testing);
+        let mut settled: Vec<String> = trace
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == TraceEventKind::Instant && e.name.starts_with("optft.elide."))
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(settled.len(), 1, "one settling instant: {settled:?}");
+        let runs = pipeline.metrics().counter_value("optft.elide.runs");
+        (outcome, runs, settled.pop().unwrap())
+    }
+
     #[test]
     fn optft_is_race_equivalent_and_elides_work() {
-        let pipeline = Pipeline::new(locked_counter());
         let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n * 10]).collect();
         let testing: Vec<Vec<i64>> = (1..6).map(|n| vec![n * 7]).collect();
-        let outcome = pipeline.run_optft(&profiling, &testing);
+        let (outcome, runs, settled) = traced_optft(locked_counter(), &profiling, &testing);
 
         assert_eq!(outcome.optimistic_races, outcome.baseline_races);
         assert!(
@@ -784,6 +986,57 @@ mod tests {
         assert_eq!(outcome.racy_sites_pred, 0);
         assert!(outcome.elidable_lock_sites > 0, "locks elided");
         assert_eq!(outcome.misspeculation_rate(), 0.0);
+        // Nothing is instrumented, so nothing can disqualify the locks.
+        assert_eq!(settled, "optft.elide.no_racy_access");
+        assert_eq!(runs, 0);
+    }
+
+    #[test]
+    fn a_false_race_through_an_elided_lock_de_elides_it() {
+        let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n]).collect();
+        let testing: Vec<Vec<i64>> = (1..4).map(|n| vec![n * 3]).collect();
+        let (fast, reference) = both_validations(&lock_published_payload(), &profiling);
+        assert_eq!(fast, BTreeSet::new(), "the false race gives up elision");
+        assert_eq!(fast, reference);
+
+        let (outcome, runs, settled) = traced_optft(lock_published_payload(), &profiling, &testing);
+        assert!(outcome.racy_sites_pred > 0, "the payload stays racy");
+        assert_eq!(settled, "optft.elide.false_race");
+        // The first input shows the false race: one optimistic run, and
+        // the sound run its race report called for.
+        assert_eq!(runs, 2);
+        assert_eq!(outcome.elidable_lock_sites, 0);
+        assert!(outcome.baseline_races.is_empty(), "`l` orders the payload");
+        assert_eq!(outcome.optimistic_races, outcome.baseline_races);
+    }
+
+    #[test]
+    fn a_true_race_beside_an_elided_lock_keeps_the_elision() {
+        let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n * 10]).collect();
+        let testing: Vec<Vec<i64>> = (1..4).map(|n| vec![n * 7]).collect();
+        let (fast, reference) = both_validations(&counter_program(true), &profiling);
+        assert!(!fast.is_empty(), "the counter's lock stays elided");
+        assert_eq!(fast, reference);
+
+        let (outcome, runs, settled) = traced_optft(counter_program(true), &profiling, &testing);
+        assert_eq!(settled, "optft.elide.validated");
+        // Every optimistic run reports the true race, so every input
+        // also takes the sound run, which reports it too.
+        assert_eq!(runs, 2 * profiling.len() as u64);
+        assert!(outcome.elidable_lock_sites > 0);
+        assert!(!outcome.baseline_races.is_empty(), "the global is racy");
+        assert_eq!(outcome.optimistic_races, outcome.baseline_races);
+    }
+
+    #[test]
+    fn validation_matches_the_reference_algorithm() {
+        let profiling: Vec<Vec<i64>> = (1..5).map(|n| vec![n * 10]).collect();
+        let (fast, reference) = both_validations(&locked_counter(), &profiling);
+        assert_eq!(fast, reference, "locked_counter");
+        for w in java_suite::all(&WorkloadParams::small()) {
+            let (fast, reference) = both_validations(&w.program, &w.profiling_inputs);
+            assert_eq!(fast, reference, "{}", w.name);
+        }
     }
 
     /// An input-dependent cold path makes the LUC invariant fail on a

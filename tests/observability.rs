@@ -52,6 +52,14 @@ fn optft_counters_consistent_on_java_workload() {
     assert_eq!(curve.len(), outcome.profiling_runs_used);
     assert!(curve.iter().all(|&c| c > 0.0));
 
+    // lusearch elides locks, and its predicated racy set is empty, so the
+    // optimistic detector could report no race: validation settles the
+    // elidable set without running the profiling corpus.
+    assert!(outcome.elidable_lock_sites > 0, "lusearch elides locks");
+    assert_eq!(outcome.racy_sites_pred, 0);
+    assert_eq!(registry.counter_value("optft.elide.runs"), 0);
+    assert!(outcome.report.counters.contains_key("optft.elide.runs"));
+
     // The outcome carries a populated report that round-trips through JSON.
     assert_eq!(outcome.report.name, "optft");
     assert_eq!(
