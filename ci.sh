@@ -55,7 +55,8 @@ start_daemon() {
     DAEMON=$!
 }
 
-# A tiny fig5 + table1 run on the small workload scale (OHA_SMOKE=1), each
+# A tiny fig5 + table1 + fig6 + table2 run on the small workload scale
+# (OHA_SMOKE=1): both OptFT and OptSlice report paths, each
 # required to emit a parsable, non-empty JSON run report.
 bench_smoke() {
     local out
@@ -65,7 +66,8 @@ bench_smoke() {
     # would hit an unbound $out under `set -u`.
     trap 'rm -rf "$out"; trap - RETURN' RETURN
     local bin
-    for bin in fig5_optft_runtimes table1_optft_endtoend; do
+    for bin in fig5_optft_runtimes table1_optft_endtoend \
+        fig6_optslice_runtimes table2_optslice_endtoend; do
         echo "    smoke: $bin --json $out/$bin.json"
         OHA_SMOKE=1 "./target/release/$bin" --json "$out/$bin.json" >/dev/null
         if [ ! -s "$out/$bin.json" ]; then
@@ -670,7 +672,7 @@ stage "cargo test (release)" cargo test --locked --release --workspace -q
 # crates/* that breaks it fails CI rather than the next benchmark run.
 stage "ohabench (build + test the benchmark package)" \
     cargo test --locked --release -q --manifest-path ohabench/Cargo.toml
-stage "bench-smoke (fig5 + table1, --json)" bench_smoke
+stage "bench-smoke (fig5 + table1 + fig6 + table2, --json)" bench_smoke
 stage "static-parallel (thread-sweep byte-equality gate)" static_parallel_smoke
 stage "bench-static (probe_solver vs reference, BENCH_static.json)" bench_static
 stage "bench-dynamic-smoke (fast path vs reference, BENCH_dynamic.json)" bench_dynamic

@@ -175,6 +175,16 @@ fn concurrent_clients_match_the_single_daemon_oracle_byte_for_byte() {
     let config = router_config(&dir);
     let socket = config.socket.clone();
     let router = Router::bind(config).unwrap();
+
+    // Wait for the full fleet: the router's connect retry can serve every
+    // request from a worker the supervisor has not yet probed `Up`, and
+    // the final `live_workers` check must see the fleet, not the probe
+    // schedule.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while router.supervisor().live_workers() < WORKERS as u64 {
+        assert!(Instant::now() < deadline, "fleet never came up");
+        thread::sleep(Duration::from_millis(20));
+    }
     let router_thread = thread::spawn(move || router.run().unwrap());
 
     thread::scope(|scope| {

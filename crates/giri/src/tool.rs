@@ -1,7 +1,5 @@
 //! The dynamic slicing tracer and trace-based backward slice extraction.
 
-use std::collections::HashMap;
-
 use oha_dataflow::BitSet;
 use oha_interp::{
     hooks, Addr, EventCtx, FrameId, InstrPlan, PlanElisions, ShadowMap, ThreadId, Tracer, Value,
@@ -57,6 +55,64 @@ impl DynamicSlice {
     }
 }
 
+/// The def table: the last defining event per register of each frame.
+///
+/// The machine numbers frames densely from 0 on every run and never reuses
+/// an id, so a frame's row is found by indexing, not hashing. A returning
+/// frame's row goes back to a free list for the next frame (the same
+/// recycling as the interpreter's register pool); a frame whose return is
+/// never reported just keeps its row, which costs memory, not correctness.
+#[derive(Debug, Default)]
+struct DefRows {
+    /// Row slot per frame id (`NONE`: the frame has defined nothing yet,
+    /// or has returned).
+    slot_of: Vec<u32>,
+    /// Per slot: event index per register (`NONE` if undefined).
+    rows: Vec<Vec<u32>>,
+    /// Slots of released rows, cleared and ready for reuse.
+    free: Vec<u32>,
+}
+
+impl DefRows {
+    fn get(&self, frame: FrameId, r: Reg) -> u32 {
+        match self.slot_of.get(frame.0 as usize) {
+            Some(&slot) if slot != NONE => self.rows[slot as usize]
+                .get(r.index())
+                .copied()
+                .unwrap_or(NONE),
+            _ => NONE,
+        }
+    }
+
+    fn set(&mut self, frame: FrameId, r: Reg, ev: u32) {
+        let f = frame.0 as usize;
+        if self.slot_of.len() <= f {
+            self.slot_of.resize(f + 1, NONE);
+        }
+        if self.slot_of[f] == NONE {
+            self.slot_of[f] = self.free.pop().unwrap_or_else(|| {
+                self.rows.push(Vec::new());
+                (self.rows.len() - 1) as u32
+            });
+        }
+        let row = &mut self.rows[self.slot_of[f] as usize];
+        if row.len() <= r.index() {
+            row.resize(r.index() + 1, NONE);
+        }
+        row[r.index()] = ev;
+    }
+
+    fn release(&mut self, frame: FrameId) {
+        if let Some(slot) = self.slot_of.get_mut(frame.0 as usize) {
+            if *slot != NONE {
+                let s = std::mem::replace(slot, NONE);
+                self.rows[s as usize].clear();
+                self.free.push(s);
+            }
+        }
+    }
+}
+
 /// Tracing counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GiriCounters {
@@ -94,13 +150,17 @@ pub struct GiriTool<'a> {
     /// Sites to trace; `None` = everything (pure dynamic Giri).
     filter: Option<&'a BitSet>,
     events: Vec<Event>,
-    last_def: HashMap<(u64, u32), u32>,
+    /// Last defining event per register of each live frame.
+    defs: DefRows,
     /// Event index of the last store per address (`NONE` if unwritten),
     /// in dense shadow memory.
     last_store: ShadowMap<u32>,
     /// Output endpoints: (site, event index).
     outputs: Vec<(InstId, u32)>,
-    pending_spawn: HashMap<ThreadId, Option<u32>>,
+    /// Per thread: the def of a spawned thread's argument, linked to
+    /// register 0 of its entry frame at its first block enter (`NONE` if
+    /// nothing is pending or the argument has no traced def).
+    pending_spawn: Vec<u32>,
     counters: GiriCounters,
     /// Maximum trace events before the tool declares resource exhaustion.
     event_budget: Option<u64>,
@@ -125,10 +185,10 @@ impl<'a> GiriTool<'a> {
             program,
             filter,
             events: Vec::new(),
-            last_def: HashMap::new(),
+            defs: DefRows::default(),
             last_store: ShadowMap::new(NONE),
             outputs: Vec::new(),
-            pending_spawn: HashMap::new(),
+            pending_spawn: Vec::new(),
             counters: GiriCounters::default(),
             event_budget: None,
             exhausted: false,
@@ -242,16 +302,9 @@ impl<'a> GiriTool<'a> {
         }
     }
 
-    fn def_of(&self, frame: FrameId, r: Reg) -> u32 {
-        self.last_def
-            .get(&(frame.0, r.raw()))
-            .copied()
-            .unwrap_or(NONE)
-    }
-
     fn operand_dep(&self, frame: FrameId, op: Operand) -> u32 {
         match op {
-            Operand::Reg(r) => self.def_of(frame, r),
+            Operand::Reg(r) => self.defs.get(frame, r),
             Operand::Const(_) => NONE,
         }
     }
@@ -268,10 +321,6 @@ impl<'a> GiriTool<'a> {
         self.events.push(Event { inst, deps });
         self.counters.traced_events += 1;
         idx
-    }
-
-    fn set_def(&mut self, frame: FrameId, r: Reg, ev: u32) {
-        self.last_def.insert((frame.0, r.raw()), ev);
     }
 
     /// Backward slice from every dynamic occurrence of `endpoint`.
@@ -334,7 +383,7 @@ impl Tracer for GiriTool<'_> {
         };
         let ev = self.record(ctx.inst, deps);
         if ev != NONE {
-            self.set_def(ctx.frame, dst, ev);
+            self.defs.set(ctx.frame, dst, ev);
         }
     }
 
@@ -348,7 +397,7 @@ impl Tracer for GiriTool<'_> {
         let deps = [*self.last_store.get(addr), self.operand_dep(ctx.frame, a)];
         let ev = self.record(ctx.inst, deps);
         if ev != NONE {
-            self.set_def(ctx.frame, dst, ev);
+            self.defs.set(ctx.frame, dst, ev);
         }
     }
 
@@ -380,9 +429,9 @@ impl Tracer for GiriTool<'_> {
         if let InstKind::Call { args, .. } = &program.inst(ctx.inst).kind {
             for (i, arg) in args.iter().enumerate() {
                 if let Operand::Reg(r) = arg {
-                    let dep = self.def_of(ctx.frame, *r);
+                    let dep = self.defs.get(ctx.frame, *r);
                     if dep != NONE {
-                        self.set_def(callee_frame, Reg::new(i as u32), dep);
+                        self.defs.set(callee_frame, Reg::new(i as u32), dep);
                     }
                 }
             }
@@ -399,19 +448,21 @@ impl Tracer for GiriTool<'_> {
         caller_frame: FrameId,
         call_inst: InstId,
     ) {
+        let dep = match operand {
+            Some(Operand::Reg(r)) => self.defs.get(frame, r),
+            _ => NONE,
+        };
+        // The returning frame's id is never reused: its row is dead.
+        self.defs.release(frame);
         if value.is_none() || !self.traced(call_inst) {
             return;
         }
         let InstKind::Call { dst: Some(d), .. } = self.program.inst(call_inst).kind else {
             return;
         };
-        let dep = match operand {
-            Some(Operand::Reg(r)) => self.def_of(frame, r),
-            _ => NONE,
-        };
         let ev = self.record(call_inst, [dep, NONE]);
         if ev != NONE {
-            self.set_def(caller_frame, d, ev);
+            self.defs.set(caller_frame, d, ev);
         }
     }
 
@@ -419,19 +470,23 @@ impl Tracer for GiriTool<'_> {
         let program = self.program;
         if let InstKind::Spawn { arg, .. } = program.inst(ctx.inst).kind {
             let dep = match arg {
-                Operand::Reg(r) => {
-                    let d = self.def_of(ctx.frame, r);
-                    (d != NONE).then_some(d)
-                }
-                Operand::Const(_) => None,
+                Operand::Reg(r) => self.defs.get(ctx.frame, r),
+                Operand::Const(_) => NONE,
             };
-            self.pending_spawn.insert(child, dep);
+            let idx = child.index();
+            if self.pending_spawn.len() <= idx {
+                self.pending_spawn.resize(idx + 1, NONE);
+            }
+            self.pending_spawn[idx] = dep;
         }
     }
 
     fn on_block_enter(&mut self, thread: ThreadId, frame: FrameId, _block: oha_ir::BlockId) {
-        if let Some(Some(d)) = self.pending_spawn.remove(&thread) {
-            self.set_def(frame, Reg::new(0), d);
+        if let Some(slot) = self.pending_spawn.get_mut(thread.index()) {
+            if *slot != NONE {
+                let d = std::mem::replace(slot, NONE);
+                self.defs.set(frame, Reg::new(0), d);
+            }
         }
     }
 
@@ -444,7 +499,7 @@ impl Tracer for GiriTool<'_> {
         };
         let ev = self.record(ctx.inst, [NONE, NONE]);
         if ev != NONE {
-            self.set_def(ctx.frame, dst, ev);
+            self.defs.set(ctx.frame, dst, ev);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Per-execution profiling of invariant candidates.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use oha_interp::{Addr, EventCtx, FrameId, ThreadId, Tracer};
 use oha_ir::{BlockId, Callee, FuncId, InstId, InstKind, Program};
@@ -59,13 +59,33 @@ impl RunProfile {
 ///
 /// Compose it with the machine via [`Machine::run`](oha_interp::Machine::run)
 /// on each profiling input, then merge the collected profiles.
+///
+/// Per-event state is dense: block counts are indexed by [`BlockId`], and
+/// call-site chains live in a trie whose nodes are interned once per
+/// distinct (parent chain, call site), so a call pushes one node id
+/// instead of copying its chain. `block_counts` and `contexts` are built
+/// from them once, in [`ProfileTracer::into_profile`].
 #[derive(Debug)]
 pub struct ProfileTracer<'p> {
     program: &'p Program,
+    /// Everything but `block_counts` and `contexts`, gathered directly.
     profile: RunProfile,
-    /// Per-thread call-site chains.
-    stacks: Vec<Vec<InstId>>,
+    /// Executions per block, indexed by [`BlockId`].
+    block_counts: Vec<u64>,
+    /// Chain trie: node `n > 0` is the chain of `nodes[n].0` extended by
+    /// call site `nodes[n].1`; node 0 ([`ROOT`]) is the empty chain.
+    nodes: Vec<(u32, InstId)>,
+    /// Interned trie edges: (parent node, call site) → child node.
+    children: HashMap<(u32, InstId), u32>,
+    /// Per-thread call stacks as trie nodes ([`DEEP`] past
+    /// [`MAX_CONTEXT_DEPTH`]).
+    stacks: Vec<Vec<u32>>,
 }
+
+/// The trie node of the empty chain.
+const ROOT: u32 = 0;
+/// Stack entry for a frame deeper than [`MAX_CONTEXT_DEPTH`] (no node).
+const DEEP: u32 = u32::MAX;
 
 impl<'p> ProfileTracer<'p> {
     /// Creates a profiler for `program`.
@@ -73,20 +93,54 @@ impl<'p> ProfileTracer<'p> {
         Self {
             program,
             profile: RunProfile::default(),
+            block_counts: vec![0; program.num_blocks()],
+            nodes: vec![(ROOT, InstId::new(0))],
+            children: HashMap::new(),
             stacks: vec![Vec::new()],
         }
     }
 
     /// Consumes the profiler, yielding the gathered profile.
     pub fn into_profile(self) -> RunProfile {
-        self.profile
+        let mut profile = self.profile;
+        profile.block_counts = self
+            .block_counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(b, &c)| (BlockId::new(b as u32), c))
+            .collect();
+        profile.contexts = (1..self.nodes.len())
+            .map(|mut n| {
+                let mut chain = Vec::new();
+                while n != ROOT as usize {
+                    let (parent, site) = self.nodes[n];
+                    chain.push(site);
+                    n = parent as usize;
+                }
+                chain.reverse();
+                chain
+            })
+            .collect();
+        profile
     }
 
-    fn stack_mut(&mut self, thread: ThreadId) -> &mut Vec<InstId> {
+    fn stack_mut(&mut self, thread: ThreadId) -> &mut Vec<u32> {
         if self.stacks.len() <= thread.index() {
             self.stacks.resize(thread.index() + 1, Vec::new());
         }
         &mut self.stacks[thread.index()]
+    }
+
+    /// The trie node of chain `parent` extended by `site`, created on
+    /// first sight.
+    fn child(&mut self, parent: u32, site: InstId) -> u32 {
+        let next = self.nodes.len() as u32;
+        let node = *self.children.entry((parent, site)).or_insert(next);
+        if node == next {
+            self.nodes.push((parent, site));
+        }
+        node
     }
 
     fn is_indirect(&self, inst: InstId) -> bool {
@@ -105,7 +159,7 @@ impl<'p> ProfileTracer<'p> {
 
 impl Tracer for ProfileTracer<'_> {
     fn on_block_enter(&mut self, _thread: ThreadId, _frame: FrameId, block: BlockId) {
-        *self.profile.block_counts.entry(block).or_insert(0) += 1;
+        self.block_counts[block.index()] += 1;
     }
 
     fn on_call(&mut self, ctx: EventCtx, callee: FuncId, _callee_frame: FrameId) {
@@ -117,11 +171,13 @@ impl Tracer for ProfileTracer<'_> {
                 .insert(callee);
         }
         let stack = self.stack_mut(ctx.thread);
-        stack.push(ctx.inst);
-        if stack.len() <= MAX_CONTEXT_DEPTH {
-            let chain = stack.clone();
-            self.profile.contexts.insert(chain);
-        }
+        let (depth, parent) = (stack.len() + 1, stack.last().copied().unwrap_or(ROOT));
+        let node = if depth <= MAX_CONTEXT_DEPTH {
+            self.child(parent, ctx.inst)
+        } else {
+            DEEP
+        };
+        self.stacks[ctx.thread.index()].push(node);
     }
 
     fn on_return(
